@@ -58,6 +58,11 @@ class KeyPool:
     bits_expired: int = 0
     #: Optional cap on stored bits, modelling a bounded key store.
     capacity_bits: Optional[int] = None
+    #: Bits held in ``blocks``, including the consumed part of the head.
+    _held_bits: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._held_bits = sum(len(block) for block in self.blocks)
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -69,6 +74,7 @@ class KeyPool:
             if self.available_bits + len(block) > self.capacity_bits:
                 raise ValueError("key pool capacity exceeded")
         self.blocks.append(block)
+        self._held_bits += len(block)
         self.bits_added += len(block)
 
     def add_bits(self, bits: BitString, block_id: int = -1, qber: float = 0.0) -> None:
@@ -82,8 +88,7 @@ class KeyPool:
     @property
     def available_bits(self) -> int:
         """Bits currently available for consumption."""
-        total = sum(len(block) for block in self.blocks)
-        return total - self._head_offset
+        return self._held_bits - self._head_offset
 
     @property
     def available_bytes(self) -> int:
@@ -108,6 +113,7 @@ class KeyPool:
             needed -= take
             if self._head_offset == len(head):
                 self.blocks.pop(0)
+                self._held_bits -= len(head)
                 self._head_offset = 0
         self.bits_consumed += count
         return BitString().concat(*collected)
@@ -135,6 +141,7 @@ class KeyPool:
         dropped = 0
         for _ in range(min(count, len(self.blocks))):
             head = self.blocks.pop(0)
+            self._held_bits -= len(head)
             dropped += len(head) - self._head_offset
             self._head_offset = 0
         self.bits_expired += dropped

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.otp import xor_bytes
 
 
 def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
@@ -31,10 +32,6 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
     if data[-pad_len:] != bytes([pad_len]) * pad_len:
         raise ValueError("invalid padding bytes")
     return data[:-pad_len]
-
-
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
 
 
 # --------------------------------------------------------------------------- #
@@ -74,7 +71,7 @@ def cbc_encrypt(cipher: AES, plaintext: bytes, iv: bytes) -> bytes:
     previous = iv
     out = bytearray()
     for i in range(0, len(padded), BLOCK_SIZE):
-        block = _xor_bytes(padded[i : i + BLOCK_SIZE], previous)
+        block = xor_bytes(padded[i : i + BLOCK_SIZE], previous)
         encrypted = cipher.encrypt_block(block)
         out.extend(encrypted)
         previous = encrypted
@@ -92,7 +89,7 @@ def cbc_decrypt(cipher: AES, ciphertext: bytes, iv: bytes) -> bytes:
     for i in range(0, len(ciphertext), BLOCK_SIZE):
         block = ciphertext[i : i + BLOCK_SIZE]
         decrypted = cipher.decrypt_block(block)
-        out.extend(_xor_bytes(decrypted, previous))
+        out.extend(xor_bytes(decrypted, previous))
         previous = block
     return pkcs7_unpad(bytes(out))
 
@@ -119,7 +116,7 @@ def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
 def ctr_transform(cipher: AES, data: bytes, nonce: bytes) -> bytes:
     """Encrypt or decrypt (the operation is its own inverse) in CTR mode."""
     keystream = ctr_keystream(cipher, nonce, len(data))
-    return _xor_bytes(data, keystream)
+    return xor_bytes(data, keystream)
 
 
 def keystream_blocks(cipher: AES, nonce: bytes) -> Iterator[bytes]:

@@ -20,6 +20,13 @@ class PadExhaustedError(Exception):
     """Raised when more pad material is requested than the pool contains."""
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings, whole-word over packed integers."""
+    if len(a) != len(b):
+        raise ValueError(f"xor_bytes needs equal lengths, got {len(a)} and {len(b)}")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
 class OneTimePad:
     """A strictly-consumed pool of one-time-pad bytes."""
 
@@ -75,16 +82,8 @@ class OneTimePad:
     # ------------------------------------------------------------------ #
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        """XOR the plaintext with the next pad bytes (consuming them).
-
-        The XOR runs whole-word over packed integers rather than per byte.
-        """
-        pad = self._take(len(plaintext))
-        if not plaintext:
-            return b""
-        return (
-            int.from_bytes(plaintext, "big") ^ int.from_bytes(pad, "big")
-        ).to_bytes(len(plaintext), "big")
+        """XOR the plaintext with the next pad bytes (consuming them)."""
+        return xor_bytes(plaintext, self._take(len(plaintext)))
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """XOR the ciphertext with the next pad bytes (consuming them).
@@ -96,7 +95,11 @@ class OneTimePad:
         return self.encrypt(ciphertext)
 
     def peek(self, count: int) -> bytes:
-        """Return the next ``count`` pad bytes without consuming them (tests only)."""
+        """Return the next ``count`` pad bytes without consuming them.
+
+        Relay and custody transport use it for the receiving end of a hop,
+        which decrypts with the same pad bytes the sender consumes.
+        """
         if count > len(self._pool):
             raise PadExhaustedError("not enough pad material to peek")
         return bytes(self._pool[:count])

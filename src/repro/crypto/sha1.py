@@ -1,10 +1,10 @@
-"""SHA-1 and HMAC-SHA1, implemented from scratch (FIPS-180 / RFC 2104).
+"""SHA-1, HMAC-SHA1 and the IKE ``prf+`` expansion.
 
 Conventional IPsec security associations in the paper use "3DES, SHA1" for
 traffic confidentiality and integrity, and IKE's key-derivation PRF is an
-HMAC.  The simulated VPN gateway therefore needs a hash and an HMAC; both are
-implemented here directly so the repository carries no external cryptographic
-dependencies.
+HMAC.  The hash and the HMAC come from the standard library (``hashlib`` /
+``hmac``); the test suite carries a from-scratch FIPS-180 / RFC 2104
+implementation as the oracle they are checked against.
 
 SHA-1 is used exactly as the 2003 system used it — as an integrity/PRF
 primitive inside a trusted implementation — not as a collision-resistant
@@ -13,69 +13,13 @@ archival hash.
 
 from __future__ import annotations
 
-import struct
-
-SHA1_BLOCK_SIZE = 64
-SHA1_DIGEST_SIZE = 20
-
-
-def _left_rotate(value: int, amount: int) -> int:
-    value &= 0xFFFFFFFF
-    return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
+import hashlib
+import hmac
 
 
 def sha1(message: bytes) -> bytes:
     """Compute the 20-byte SHA-1 digest of ``message``."""
-    h0, h1, h2, h3, h4 = (
-        0x67452301,
-        0xEFCDAB89,
-        0x98BADCFE,
-        0x10325476,
-        0xC3D2E1F0,
-    )
-
-    original_bit_length = len(message) * 8
-    message = bytes(message) + b"\x80"
-    while len(message) % 64 != 56:
-        message += b"\x00"
-    message += struct.pack(">Q", original_bit_length)
-
-    for chunk_start in range(0, len(message), 64):
-        chunk = message[chunk_start : chunk_start + 64]
-        words = list(struct.unpack(">16I", chunk))
-        for i in range(16, 80):
-            words.append(
-                _left_rotate(words[i - 3] ^ words[i - 8] ^ words[i - 14] ^ words[i - 16], 1)
-            )
-
-        a, b, c, d, e = h0, h1, h2, h3, h4
-        for i in range(80):
-            if i < 20:
-                f = (b & c) | ((~b) & d)
-                k = 0x5A827999
-            elif i < 40:
-                f = b ^ c ^ d
-                k = 0x6ED9EBA1
-            elif i < 60:
-                f = (b & c) | (b & d) | (c & d)
-                k = 0x8F1BBCDC
-            else:
-                f = b ^ c ^ d
-                k = 0xCA62C1D6
-            temp = (_left_rotate(a, 5) + f + e + k + words[i]) & 0xFFFFFFFF
-            e = d
-            d = c
-            c = _left_rotate(b, 30)
-            b = a
-            a = temp
-
-        h0 = (h0 + a) & 0xFFFFFFFF
-        h1 = (h1 + b) & 0xFFFFFFFF
-        h2 = (h2 + c) & 0xFFFFFFFF
-        h3 = (h3 + d) & 0xFFFFFFFF
-        h4 = (h4 + e) & 0xFFFFFFFF
-
-    return struct.pack(">5I", h0, h1, h2, h3, h4)
+    return hashlib.sha1(message).digest()
 
 
 def sha1_hexdigest(message: bytes) -> str:
@@ -85,12 +29,7 @@ def sha1_hexdigest(message: bytes) -> str:
 
 def hmac_sha1(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA1 per RFC 2104."""
-    if len(key) > SHA1_BLOCK_SIZE:
-        key = sha1(key)
-    key = key + b"\x00" * (SHA1_BLOCK_SIZE - len(key))
-    outer = bytes(b ^ 0x5C for b in key)
-    inner = bytes(b ^ 0x36 for b in key)
-    return sha1(outer + sha1(inner + message))
+    return hmac.digest(key, message, "sha1")
 
 
 def prf_expand(key: bytes, seed: bytes, length: int) -> bytes:

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 import networkx as nx
 
+from repro.crypto.otp import xor_bytes
 from repro.dtn.contact import ContactGraphSelector, ContactSchedule
 from repro.dtn.policies import ForwardingPolicy, build_policy
 from repro.dtn.store import DELIVERED, EVICTED, EXPIRED, CustodyBundle, CustodyStore
@@ -265,7 +266,7 @@ class CustodyTransport:
         hop_pad_bytes = pad.peek(len(key_bytes))
         ciphertext = pad.encrypt(key_bytes)
         self.relays.notify_pad_change(node_a, node_b)
-        arrived = bytes(c ^ p for c, p in zip(ciphertext, hop_pad_bytes))
+        arrived = xor_bytes(ciphertext, hop_pad_bytes)
         assert arrived == key_bytes  # the far end recovers the key exactly
         bits = len(key_bytes) * 8
         bundle.hops += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.otp import OneTimePad
+from repro.crypto.otp import OneTimePad, xor_bytes
 from repro.network.routing import PathSelector, RoutingError
 from repro.network.topology import NodeKind, QKDNetwork
 from repro.util.bits import BitString
@@ -315,10 +315,11 @@ class TrustedRelayNetwork:
             self.notify_pad_change(node_a, node_b)
             pad_consumed += len(in_flight) * 8
             arriving_node = node_b
-            in_flight = bytes(c ^ p for c, p in zip(ciphertext, hop_pad_bytes))
+            in_flight = xor_bytes(ciphertext, hop_pad_bytes)
             node = self.network.node(arriving_node)
             if node.kind is NodeKind.TRUSTED_RELAY:
                 relays_exposed.append(arriving_node)
+        assert in_flight == key_bytes  # the destination recovers the key exactly
 
         result = KeyTransportResult(
             success=True,

@@ -1,10 +1,9 @@
 """Tests for block-cipher modes, SHA-1 / HMAC, the one-time pad, and Wegman-Carter."""
 
-import hashlib
-import hmac as stdlib_hmac
-
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import sha1_reference
 
 from repro.crypto.aes import AES
 from repro.crypto.modes import (
@@ -17,7 +16,7 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
-from repro.crypto.otp import OneTimePad, PadExhaustedError
+from repro.crypto.otp import OneTimePad, PadExhaustedError, xor_bytes
 from repro.crypto.sha1 import hmac_sha1, prf_expand, sha1, sha1_hexdigest
 from repro.crypto.wegman_carter import (
     AuthenticationError,
@@ -109,11 +108,11 @@ class TestSha1:
         assert sha1_hexdigest(b"") == "da39a3ee5e6b4b0d3255bfef95601890afd80709"
         assert sha1_hexdigest(b"abc") == "a9993e364706816aba3e25717850c26c9cd0d89d"
 
-    def test_against_hashlib(self):
+    def test_against_reference(self):
         for size in (0, 1, 55, 56, 63, 64, 65, 200, 1000):
             message = bytes(range(256)) * 4
             message = message[:size]
-            assert sha1(message) == hashlib.sha1(message).digest()
+            assert sha1(message) == sha1_reference.sha1(message)
 
     def test_hmac_rfc2202_vectors(self):
         assert hmac_sha1(b"\x0b" * 20, b"Hi There").hex() == (
@@ -123,10 +122,10 @@ class TestSha1:
             "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
         )
 
-    def test_hmac_long_key_against_stdlib(self):
+    def test_hmac_long_key_against_reference(self):
         key = bytes(range(100))
         message = b"key longer than the block size"
-        assert hmac_sha1(key, message) == stdlib_hmac.new(key, message, hashlib.sha1).digest()
+        assert hmac_sha1(key, message) == sha1_reference.hmac_sha1(key, message)
 
     def test_prf_expand_lengths(self):
         assert len(prf_expand(b"k", b"seed", 0)) == 0
@@ -140,8 +139,25 @@ class TestSha1:
 
     @given(st.binary(max_size=300))
     @settings(max_examples=30, deadline=None)
-    def test_sha1_matches_hashlib_property(self, message):
-        assert sha1(message) == hashlib.sha1(message).digest()
+    def test_sha1_matches_reference_property(self, message):
+        assert sha1(message) == sha1_reference.sha1(message)
+
+
+class TestXorBytes:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_byte_xor(self, data):
+        a = data.draw(st.binary(max_size=300))
+        b = data.draw(st.binary(min_size=len(a), max_size=len(a)))
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+    def test_keeps_leading_zero_bytes(self):
+        assert xor_bytes(b"\x00\x01", b"\x00\x01") == b"\x00\x00"
+        assert xor_bytes(b"", b"") == b""
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            xor_bytes(b"abc", b"ab")
 
 
 class TestOneTimePad:
